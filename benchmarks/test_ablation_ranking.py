@@ -38,10 +38,9 @@ def _mean_iv_of_generated(ranked, train):
 
 
 def _run_ablation(seed: int):
-    train, valid, __ = load_benchmark("spambase", scale=0.12, seed=seed)
-    eval_set = (clean_matrix(valid.X), valid.y) if valid is not None else None
+    train, _, _ = load_benchmark("spambase", scale=0.12, seed=seed)
     model = fit_mining_model(
-        clean_matrix(train.X), train.require_labels(), eval_set,
+        clean_matrix(train.X), train.require_labels(),
         n_estimators=20, max_depth=4, learning_rate=0.3, random_state=seed,
     )
     combos = combinations_from_paths(model.paths(), max_size=2)

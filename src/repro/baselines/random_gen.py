@@ -31,7 +31,7 @@ class RandomGenerator(AutoFeatureEngineer):
     config: SAFEConfig = field(default_factory=SAFEConfig)
     name: str = "RAND"
 
-    def _feature_pool(self, train: Dataset, valid: "Dataset | None") -> list[int]:
+    def _feature_pool(self, train: Dataset) -> list[int]:
         return list(range(train.n_cols))
 
     def fit(
@@ -39,7 +39,7 @@ class RandomGenerator(AutoFeatureEngineer):
     ) -> FeatureTransformer:
         cfg = self.config
         rng = check_random_state(cfg.random_state)
-        pool = self._feature_pool(train, valid)
+        pool = self._feature_pool(train)
         if not pool:
             raise DataError(f"{self.name}: empty feature pool")
         size = min(2, len(pool))  # binary combinations, as in §V
@@ -55,7 +55,6 @@ class RandomGenerator(AutoFeatureEngineer):
             ranked,
             cfg.operators,
             train,
-            valid,
             max_output=cfg.max_output_features,
             iv_threshold=cfg.iv_threshold,
             iv_bins=cfg.iv_bins,
@@ -74,16 +73,11 @@ class ImportantGenerator(RandomGenerator):
 
     name: str = "IMP"
 
-    def _feature_pool(self, train: Dataset, valid: "Dataset | None") -> list[int]:
+    def _feature_pool(self, train: Dataset) -> list[int]:
         cfg = self.config
-        y = train.require_labels()
-        eval_set = None
-        if valid is not None and valid.y is not None:
-            eval_set = (clean_matrix(valid.X), valid.y)
         model = fit_mining_model(
             clean_matrix(train.X),
-            y,
-            eval_set,
+            train.require_labels(),
             n_estimators=cfg.mining_n_estimators,
             max_depth=cfg.mining_max_depth,
             learning_rate=cfg.mining_learning_rate,

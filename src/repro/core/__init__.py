@@ -16,7 +16,7 @@ from .interface import AutoFeatureEngineer
 from .pipeline import SAFE, IterationTrace
 from .redundancy import remove_redundant_features_blocked
 from .scoring import IntervalCodeCache, score_combinations
-from .stream import fit_safe_streaming, forest_chunks
+from .stream import forest_chunks
 from .selection import (
     SelectionReport,
     filter_by_information_value,
@@ -39,7 +39,6 @@ __all__ = [
     "combinations_from_paths",
     "filter_by_information_value",
     "fit_mining_model",
-    "fit_safe_streaming",
     "forest_chunks",
     "generate_features",
     "mined_search_space_size",

@@ -54,10 +54,14 @@ class SAFEConfig:
         Always retain original features in the candidate pool (they can
         still be dropped by selection, as in the paper).
     n_jobs:
-        Worker processes for the per-feature information-value stage and
-        the combination-ranking stage (§IV-E.2's "calculated in
-        parallel" requirement; ranking chunks over combinations). ``1``
-        (default) is fully serial; ``-1`` uses every core.
+        Worker processes (§IV-E.2's "calculated in parallel"
+        requirement). The in-memory fit fans out combination ranking
+        (chunked over combinations), feature generation (chunked over
+        ranked combinations) and the per-feature IV filter; the streamed
+        fit fans out the row-sharded IV counts. Redundancy removal is
+        deliberately not forwarded: its per-block GEMM runs faster
+        in-process. ``1`` (default) is fully serial; ``-1`` uses every
+        core.
     on_operator_error:
         ``"quarantine"`` (default) removes an expression whose operator
         raises — or whose generated column has no finite value — from

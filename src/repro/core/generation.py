@@ -60,7 +60,6 @@ class RankedCombination:
 def fit_mining_model(
     X: np.ndarray,
     y: np.ndarray,
-    eval_set: "tuple[np.ndarray, np.ndarray] | None",
     n_estimators: int,
     max_depth: int,
     learning_rate: float,
@@ -74,7 +73,7 @@ def fit_mining_model(
         random_state=random_state,
         tie_rtol=GAIN_TIE_RTOL,
     )
-    model.fit(X, y, eval_set=eval_set)
+    model.fit(X, y)
     return model
 
 

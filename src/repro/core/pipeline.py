@@ -12,6 +12,12 @@ Each iteration:
 8. rank the rest by GBM gain and truncate to the output budget (line 10);
 9. the survivors become the next iteration's base features (line 11).
 
+The loop is written once, in :meth:`SAFE.fit`. It drives one of two
+stage backends (:class:`FitStages`): :class:`InMemoryStages` over a
+materialized :class:`~repro.tabular.Dataset`, or
+:class:`~repro.core.stream.StreamStages` over a chunked row stream. A
+new stage goes into both.
+
 The fitted result is a :class:`FeatureTransformer` (Ψ) whose expressions
 are composed over *original* columns, so chained iterations can build
 higher-order features while the plan stays directly servable.
@@ -95,6 +101,113 @@ def _trace_from_scalars(payload: dict) -> IterationTrace:
     )
 
 
+class FitStages:
+    """An Algorithm-1 stage backend driven by :meth:`SAFE.fit`.
+
+    The constructor validates the backend's input. Each iteration the
+    loop calls ``begin(iteration, expressions)``, then ``mine()`` (the
+    fitted mining GBM), ``rank(combos)``, ``generate(ranked, expressions,
+    existing_keys, quarantine)`` and ``select(candidates, max_output)``
+    (a :class:`SelectionReport`). The hooks below are no-ops by default.
+    """
+
+    def start(self, report: RuntimeReport, directory, fingerprint: str) -> None:
+        """Called once before the loop; ``directory`` is the checkpoint
+        directory, or ``None`` without checkpointing."""
+
+    def retain(self, expressions: "list[Expression]") -> None:
+        """Called with the survivors of each completed iteration."""
+
+    def checkpointed(self) -> None:
+        """Called once the iteration's survivors are durable on disk."""
+
+    def finish(self) -> None:
+        """Called once after the loop."""
+
+
+class InMemoryStages(FitStages):
+    """The stages over a materialized :class:`Dataset`.
+
+    One :class:`EvalCache` over the original matrix computes every
+    expression column once and reuses it across iterations (the matrix
+    never changes), so each iteration's feature matrix is rebuilt from
+    the cache. Stateful operators fit on full columns, and
+    ``config.n_jobs`` fans ranking, generation and the IV filter out to
+    worker processes.
+    """
+
+    def __init__(self, train: Dataset, valid: "Dataset | None", cfg: SAFEConfig):
+        self.y = train.require_labels()
+        if np.unique(self.y).size < 2:
+            raise DataError("SAFE.fit requires both classes in the training labels")
+        if valid is not None and valid.n_cols != train.n_cols:
+            raise DataError(
+                f"validation set has {valid.n_cols} columns, "
+                f"training set has {train.n_cols}"
+            )
+        self.cfg = cfg
+        self.cache = EvalCache(train.X)
+        self.X_fit: "np.ndarray | None" = None
+
+    def begin(self, iteration: int, expressions: "list[Expression]") -> None:
+        # evaluate_forest fills a freshly allocated block (cached columns
+        # are copied into it), so in-place sanitation is safe.
+        self.X_fit = clean_matrix(
+            evaluate_forest(expressions, cache=self.cache), copy=False
+        )
+
+    def mine(self):
+        cfg = self.cfg
+        return fit_mining_model(
+            self.X_fit,
+            self.y,
+            n_estimators=cfg.mining_n_estimators,
+            max_depth=cfg.mining_max_depth,
+            learning_rate=cfg.mining_learning_rate,
+            random_state=cfg.random_state,
+        )
+
+    def rank(self, combos):
+        return rank_combinations(
+            self.X_fit, self.y, combos, gamma=self.cfg.gamma, n_jobs=self.cfg.n_jobs
+        )
+
+    def generate(self, ranked, expressions, existing_keys, quarantine):
+        return generate_features(
+            ranked,
+            self.cfg.operators,
+            expressions,
+            self.cache.X,
+            existing_keys=existing_keys,
+            cache=self.cache,
+            n_jobs=self.cfg.n_jobs,
+            quarantine=quarantine,
+        )
+
+    def select(self, candidates, max_output) -> SelectionReport:
+        cfg = self.cfg
+        self.X_fit = None  # the mining matrix is not needed past ranking
+        X_cand = clean_matrix(
+            evaluate_forest(candidates, cache=self.cache), copy=False
+        )
+        return select_features(
+            X_cand,
+            self.y,
+            alpha=cfg.iv_threshold,
+            iv_bins=cfg.iv_bins,
+            theta=cfg.pearson_threshold,
+            ranking_n_estimators=cfg.ranking_n_estimators,
+            ranking_max_depth=cfg.ranking_max_depth,
+            max_output=max_output,
+            random_state=cfg.random_state,
+            n_jobs=cfg.n_jobs,
+        )
+
+    def retain(self, expressions: "list[Expression]") -> None:
+        # Bound cache memory: keep only subtrees the survivors reuse.
+        self.cache.retain(expressions)
+
+
 @dataclass
 class SAFE(AutoFeatureEngineer):
     """Scalable Automatic Feature Engineering (the paper's method).
@@ -120,12 +233,18 @@ class SAFE(AutoFeatureEngineer):
     ) -> FeatureTransformer:
         """Run Algorithm 1; see the module docstring for the stages.
 
-        ``train`` may be a :class:`~repro.tabular.ChunkedDataset`, in
-        which case the fit streams the rows chunk-at-a-time at
-        O(chunk + state) memory (see :mod:`repro.core.stream`), with
-        ``config.sketch`` choosing between bounded-memory approximate
-        quantile edges and the bit-identical exact mode. The streaming
-        path requires ``valid=None`` and row-wise stateless operators.
+        This is the one iteration loop. It drives :class:`InMemoryStages`
+        for a :class:`~repro.tabular.Dataset`, or, for a
+        :class:`~repro.tabular.ChunkedDataset`,
+        :class:`~repro.core.stream.StreamStages`, which streams the rows
+        chunk-at-a-time at O(chunk + state) memory, with ``config.sketch``
+        choosing between bounded-memory approximate quantile edges and
+        the bit-identical exact mode. The streamed backend accepts only
+        ``valid=None`` and row-wise stateless operators.
+
+        ``valid`` is schema-checked only: a column count that differs
+        from ``train`` raises :class:`~repro.exceptions.DataError`. No
+        internal GBM early-stops, so validation rows cannot change Ψ.
 
         ``checkpoint_dir`` enables fault tolerance across process death:
         after every completed iteration the survivor expressions and
@@ -137,33 +256,19 @@ class SAFE(AutoFeatureEngineer):
         and the seed). Corrupt or mismatched checkpoints are skipped
         (recorded on :attr:`runtime_report_`), never trusted.
         """
-        if isinstance(train, ChunkedDataset):
-            from .stream import fit_safe_streaming
-
-            return fit_safe_streaming(
-                self, train, valid=valid, checkpoint_dir=checkpoint_dir
-            )
         cfg = self.config
-        y = train.require_labels()
-        if np.unique(y).size < 2:
-            raise DataError("SAFE.fit requires both classes in the training labels")
-        X_original = train.X
-        y_valid = valid.y if valid is not None else None
+        if isinstance(train, ChunkedDataset):
+            from .stream import StreamStages
+
+            stages: FitStages = StreamStages(train, valid, cfg)
+        else:
+            stages = InMemoryStages(train, valid, cfg)
 
         max_output = cfg.max_output_features
         if max_output is None:
             max_output = 2 * train.n_cols  # the paper's 2M budget
 
         expressions: list[Expression] = [Var(i) for i in range(train.n_cols)]
-        X_cur = X_original.copy()
-        X_valid_cur = valid.X.copy() if valid is not None else None
-
-        # CSE caches: every expression column materialized during
-        # generation or candidate evaluation is computed once per matrix
-        # and reused across iterations (the matrices never change).
-        train_cache = EvalCache(X_original)
-        valid_cache = EvalCache(valid.X) if valid is not None else None
-
         timer = Timer()
         self.traces_ = []
         runtime_report = RuntimeReport()
@@ -176,16 +281,18 @@ class SAFE(AutoFeatureEngineer):
             state, skipped = manager.latest(expected_config_hash=fingerprint)
             runtime_report.checkpoints_skipped.extend(skipped)
             if state is not None:
-                # Resume: the survivors become the working feature set and
-                # their (deterministic) columns are rebuilt through the
-                # caches, exactly as iteration `state.iteration` left them.
+                # Resume: the survivors become the working feature set;
+                # the backend re-derives their columns, which are
+                # deterministic functions of the expressions and the data.
                 expressions = list(state.expressions)
                 start_iteration = state.iteration + 1
                 runtime_report.resumed_from_iteration = state.iteration
                 self.traces_ = [_trace_from_scalars(t) for t in state.traces]
-                X_cur = evaluate_forest(expressions, cache=train_cache)
-                if valid_cache is not None:
-                    X_valid_cur = evaluate_forest(expressions, cache=valid_cache)
+        stages.start(
+            runtime_report,
+            None if manager is None else manager.directory,
+            fingerprint,
+        )
         for iteration in range(start_iteration, cfg.n_iterations):
             if (
                 cfg.time_budget_seconds is not None
@@ -193,44 +300,19 @@ class SAFE(AutoFeatureEngineer):
             ):
                 break
             iter_timer = Timer()
-            # X_cur / X_valid_cur are private fresh allocations (an
-            # explicit .copy() on iteration 0, fancy-indexed survivor
-            # slices afterwards), so they too are sanitized in place.
-            X_fit = clean_matrix(X_cur, copy=False)
-            eval_set = None
-            if X_valid_cur is not None and y_valid is not None:
-                eval_set = (clean_matrix(X_valid_cur, copy=False), y_valid)
+            stages.begin(iteration, expressions)
 
-            # -- Generation --------------------------------------------
-            mining = fit_mining_model(
-                X_fit,
-                y,
-                eval_set,
-                n_estimators=cfg.mining_n_estimators,
-                max_depth=cfg.mining_max_depth,
-                learning_rate=cfg.mining_learning_rate,
-                random_state=cfg.random_state,
-            )
-            paths = mining.paths()
+            # -- Generation (lines 3-6) ---------------------------------
+            paths = stages.mine().paths()
             combos = combinations_from_paths(
                 paths, max_size=cfg.max_combination_size
             )
-            ranked = rank_combinations(
-                X_fit, y, combos, gamma=cfg.gamma, n_jobs=cfg.n_jobs
-            )
-            existing = {e.key for e in expressions}
+            ranked = stages.rank(combos)
             quarantined: "list[QuarantineRecord] | None" = (
                 [] if cfg.on_operator_error == "quarantine" else None
             )
-            new_exprs = generate_features(
-                ranked,
-                cfg.operators,
-                expressions,
-                X_original,
-                existing_keys=existing,
-                cache=train_cache,
-                n_jobs=cfg.n_jobs,
-                quarantine=quarantined,
+            new_exprs = stages.generate(
+                ranked, expressions, {e.key for e in expressions}, quarantined
             )
             if quarantined:
                 runtime_report.record_quarantine(iteration, quarantined)
@@ -242,46 +324,14 @@ class SAFE(AutoFeatureEngineer):
                 candidates = list(expressions) + new_exprs
             else:
                 candidates = new_exprs
-            # evaluate_forest fills a freshly allocated block (cached
-            # columns are copied into it), so in-place sanitation is safe
-            # and saves one full-matrix copy per iteration per matrix.
-            X_cand = clean_matrix(
-                evaluate_forest(candidates, cache=train_cache), copy=False
-            )
-            eval_cand = None
-            if valid_cache is not None and y_valid is not None:
-                eval_cand = (
-                    clean_matrix(
-                        evaluate_forest(candidates, cache=valid_cache), copy=False
-                    ),
-                    y_valid,
-                )
 
             # -- Selection (lines 8-10) ---------------------------------
-            report = select_features(
-                X_cand,
-                y,
-                eval_cand,
-                alpha=cfg.iv_threshold,
-                iv_bins=cfg.iv_bins,
-                theta=cfg.pearson_threshold,
-                ranking_n_estimators=cfg.ranking_n_estimators,
-                ranking_max_depth=cfg.ranking_max_depth,
-                max_output=max_output,
-                random_state=cfg.random_state,
-                n_jobs=cfg.n_jobs,
-            )
+            report = stages.select(candidates, max_output)
             chosen = list(report.final_order)
             if not chosen:
                 break
             expressions = [candidates[i] for i in chosen]
-            X_cur = X_cand[:, chosen]
-            if eval_cand is not None:
-                X_valid_cur = eval_cand[0][:, chosen]
-            # Bound cache memory: keep only subtrees the survivors reuse.
-            train_cache.retain(expressions)
-            if valid_cache is not None:
-                valid_cache.retain(expressions)
+            stages.retain(expressions)
             self.traces_.append(
                 IterationTrace(
                     iteration=iteration,
@@ -302,10 +352,12 @@ class SAFE(AutoFeatureEngineer):
                     traces=[_trace_scalars(t) for t in self.traces_],
                 )
                 runtime_report.checkpoints_written += 1
+                stages.checkpointed()
             # Chaos hook: lets tests kill the fit between iterations (after
             # the checkpoint landed) and assert a clean resume.
             failpoint("pipeline.iteration")
 
+        stages.finish()
         return FeatureTransformer(
             expressions=tuple(expressions),
             original_names=train.names,

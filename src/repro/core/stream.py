@@ -1,9 +1,8 @@
-"""Out-of-core SAFE fit: Algorithm 1 over a chunked row stream.
+"""Out-of-core SAFE fit: the Algorithm-1 stages over a chunked row stream.
 
-The in-memory :meth:`~repro.core.pipeline.SAFE.fit` holds the current
-feature matrix, the candidate matrix, and a validation copy of each.
-This driver runs the *same* iteration — mine paths, rank combinations,
-generate, select, repeat — against a :class:`~repro.tabular.ChunkedDataset`
+:meth:`~repro.core.pipeline.SAFE.fit` holds the one iteration loop — mine
+paths, rank combinations, generate, select, repeat. Handed a
+:class:`~repro.tabular.ChunkedDataset`, it drives :class:`StreamStages`,
 whose rows never co-exist in memory. Each stage consumes the stream
 through the mergeable sufficient-statistics kernels the in-memory entry
 points are one-chunk callers of:
@@ -35,8 +34,9 @@ last ulp are the one place tree structure can legitimately differ. With
 ``sketch="merge"`` edges are approximate within one sample rank and Ψ
 may differ accordingly.
 
-Unsupported in v1 (rejected with ``ConfigurationError``): validation
-sets and operators that are stateful or not row-wise.
+Unsupported (rejected with ``ConfigurationError``): validation sets and
+operators that are stateful or not row-wise. The in-memory fit only
+schema-checks a validation set, since no internal GBM early-stops.
 """
 
 from __future__ import annotations
@@ -51,21 +51,16 @@ from ..metrics.batched import iv_from_counts
 from ..metrics.information import entropy_from_counts
 from ..operators.base import resolve_operators
 from ..operators.engine import EvalCache, evaluate_forest
-from ..operators.expressions import Applied, Expression, Var
-from ..runtime.checkpoint import (
-    CheckpointManager,
-    StatsCheckpointStore,
-    config_fingerprint,
-    schema_fingerprint,
-)
+from ..operators.expressions import Applied, Expression
+from ..runtime.checkpoint import StatsCheckpointStore
 from ..runtime.failpoints import failpoint
 from ..runtime.report import QuarantineRecord, RuntimeReport
 from ..tabular.binning import DEFAULT_SKETCH_CAPACITY, streamed_quantile_edges
 from ..tabular.io import ChunkedDataset
 from ..tabular.preprocess import clean_matrix
-from ..utils import Timer, as_label_vector
-from .generation import combinations_from_paths, plan_features, rank_from_scores
-from .pipeline import IterationTrace, _trace_from_scalars, _trace_scalars
+from ..utils import as_label_vector
+from .generation import plan_features, rank_from_scores
+from .pipeline import FitStages
 from .redundancy import (
     centered_gram_partial,
     column_moments_partial,
@@ -82,7 +77,6 @@ from .scoring import (
     merge_combination_counts,
 )
 from .selection import SelectionReport
-from .transform import FeatureTransformer
 
 
 def forest_chunks(data: ChunkedDataset, expressions: "list[Expression]"):
@@ -358,76 +352,47 @@ def _select_streamed(
     )
 
 
-def fit_safe_streaming(
-    safe,
-    train: ChunkedDataset,
-    valid=None,
-    checkpoint_dir: "str | None" = None,
-) -> FeatureTransformer:
-    """Run Algorithm 1 against a chunked row stream, out of core.
+class StreamStages(FitStages):
+    """The Algorithm-1 stages over a :class:`ChunkedDataset`.
 
-    ``safe`` is the :class:`~repro.core.pipeline.SAFE` instance whose
-    config, traces, and runtime report this fit populates —
-    :meth:`SAFE.fit` dispatches here when handed a
-    :class:`~repro.tabular.ChunkedDataset`. Checkpoint/resume semantics
-    match the in-memory fit (the persisted state is the survivor
-    expressions, which need no matrix to restore).
+    Validation rejects a validation set and operators that are stateful
+    or not row-wise (``ConfigurationError``), and an empty or
+    single-class label stream (``DataError``). With a checkpoint
+    directory, every stage's sufficient statistics persist in a
+    :class:`StatsCheckpointStore` under ``stats/``, scoped per iteration.
     """
-    cfg = safe.config
-    if valid is not None:
-        raise ConfigurationError(
-            "streaming fit does not support a validation set"
-        )
-    _check_streamable_config(cfg)
-    n_rows = train.n_rows
-    if n_rows < 1:
-        raise DataError("streaming fit needs at least one row")
-    n_pos = _count_positives(train)
-    if n_pos == 0 or n_pos == n_rows:
-        raise DataError("SAFE.fit requires both classes in the training labels")
 
-    max_output = cfg.max_output_features
-    if max_output is None:
-        max_output = 2 * train.n_cols  # the paper's 2M budget
+    def __init__(self, train: ChunkedDataset, valid, cfg) -> None:
+        if valid is not None:
+            raise ConfigurationError(
+                "streaming fit does not support a validation set"
+            )
+        _check_streamable_config(cfg)
+        n_rows = train.n_rows
+        if n_rows < 1:
+            raise DataError("streaming fit needs at least one row")
+        n_pos = _count_positives(train)
+        if n_pos == 0 or n_pos == n_rows:
+            raise DataError("SAFE.fit requires both classes in the training labels")
+        self.train, self.cfg = train, cfg
+        self.n_rows, self.n_pos = n_rows, n_pos
+        self.store: "StatsCheckpointStore | None" = None
 
-    expressions: list[Expression] = [Var(i) for i in range(train.n_cols)]
-    timer = Timer()
-    safe.traces_ = []
-    runtime_report = RuntimeReport()
-    safe.runtime_report_ = runtime_report
-    runtime_report.chunks_quarantined.extend(train.quarantined_chunks())
-    fingerprint = config_fingerprint(cfg, train.names)
-    start_iteration = 0
-    manager: "CheckpointManager | None" = None
-    stats_store: "StatsCheckpointStore | None" = None
-    if checkpoint_dir is not None:
-        manager = CheckpointManager(checkpoint_dir)
-        state, skipped = manager.latest(expected_config_hash=fingerprint)
-        runtime_report.checkpoints_skipped.extend(skipped)
-        if state is not None:
-            expressions = list(state.expressions)
-            start_iteration = state.iteration + 1
-            runtime_report.resumed_from_iteration = state.iteration
-            safe.traces_ = [_trace_from_scalars(t) for t in state.traces]
-        stats_store = StatsCheckpointStore(
-            manager.directory / "stats", fingerprint
+    def start(self, report: RuntimeReport, directory, fingerprint: str) -> None:
+        self.report = report
+        report.chunks_quarantined.extend(self.train.quarantined_chunks())
+        if directory is not None:
+            self.store = StatsCheckpointStore(directory / "stats", fingerprint)
+
+    def begin(self, iteration: int, expressions: "list[Expression]") -> None:
+        self.n_cols = len(expressions)
+        self.chunks = forest_chunks(self.train, expressions)
+        self.stats = (
+            None if self.store is None else self.store.scoped(f"it{iteration:05d}")
         )
 
-    for iteration in range(start_iteration, cfg.n_iterations):
-        if (
-            cfg.time_budget_seconds is not None
-            and timer.elapsed() >= cfg.time_budget_seconds
-        ):
-            break
-        iter_timer = Timer()
-        chunks_cur = forest_chunks(train, expressions)
-        it_stats = (
-            None
-            if stats_store is None
-            else stats_store.scoped(f"it{iteration:05d}")
-        )
-
-        # -- Generation --------------------------------------------------
+    def mine(self) -> GradientBoostingClassifier:
+        cfg = self.cfg
         mining = GradientBoostingClassifier(
             n_estimators=cfg.mining_n_estimators,
             max_depth=cfg.mining_max_depth,
@@ -437,78 +402,38 @@ def fit_safe_streaming(
         )
         fit_gbm_streaming(
             mining,
-            chunks_cur,
-            n_rows,
-            len(expressions),
+            self.chunks,
+            self.n_rows,
+            self.n_cols,
             sketch=cfg.sketch,
-            stats=None if it_stats is None else it_stats.scoped("mine-gbm"),
+            stats=None if self.stats is None else self.stats.scoped("mine-gbm"),
         )
-        paths = mining.paths()
-        combos = combinations_from_paths(paths, max_size=cfg.max_combination_size)
-        ranked = _rank_combinations_streamed(
-            chunks_cur, combos, cfg.gamma, n_rows, n_pos, stats=it_stats
-        )
-        existing = {e.key for e in expressions}
-        plan = plan_features(ranked, cfg.operators, expressions, existing)
-        quarantined: "list[QuarantineRecord] | None" = (
-            [] if cfg.on_operator_error == "quarantine" else None
-        )
-        new_exprs = _generate_streamed(plan, train, quarantined, stats=it_stats)
-        if quarantined:
-            runtime_report.record_quarantine(iteration, quarantined)
-        if not new_exprs and iteration > 0:
-            break  # nothing new to add; feature set has stabilized
+        return mining
 
-        # -- Candidate pool + selection ----------------------------------
-        if cfg.keep_originals or not new_exprs:
-            candidates = list(expressions) + new_exprs
-        else:
-            candidates = new_exprs
-        report = _select_streamed(
-            train, candidates, n_rows, n_pos, cfg, max_output, stats=it_stats
+    def rank(self, combos):
+        return _rank_combinations_streamed(
+            self.chunks, combos, self.cfg.gamma, self.n_rows, self.n_pos,
+            stats=self.stats,
         )
-        chosen = list(report.final_order)
-        if not chosen:
-            break
-        expressions = [candidates[i] for i in chosen]
-        safe.traces_.append(
-            IterationTrace(
-                iteration=iteration,
-                n_paths=len(paths),
-                n_combinations=len(combos),
-                n_generated=len(new_exprs),
-                n_candidates=len(candidates),
-                selection=report,
-                elapsed_seconds=iter_timer.elapsed(),
-                n_quarantined=len(quarantined) if quarantined else 0,
-            )
-        )
-        if manager is not None:
-            manager.save(
-                iteration,
-                expressions,
-                fingerprint,
-                traces=[_trace_scalars(t) for t in safe.traces_],
-            )
-            runtime_report.checkpoints_written += 1
-            # The iteration's survivors are durable; its mid-iteration
-            # statistics can never be needed again and must not leak
-            # into the next iteration's stage keys.
-            stats_store.clear()
-        failpoint("pipeline.iteration")
 
-    if stats_store is not None:
-        runtime_report.stats_checkpoints_written = stats_store.written
-        runtime_report.stats_stages_resumed = list(stats_store.resumed)
-        runtime_report.stats_checkpoints_skipped = list(stats_store.skipped)
-    return FeatureTransformer(
-        expressions=tuple(expressions),
-        original_names=train.names,
-        metadata={
-            "method": safe.name,
-            "n_iterations_run": len(safe.traces_),
-            "operators": list(cfg.operators),
-            "schema_hash": schema_fingerprint(train.names),
-            "config_hash": fingerprint,
-        },
-    )
+    def generate(self, ranked, expressions, existing_keys, quarantine):
+        plan = plan_features(ranked, self.cfg.operators, expressions, existing_keys)
+        return _generate_streamed(plan, self.train, quarantine, stats=self.stats)
+
+    def select(self, candidates, max_output) -> SelectionReport:
+        return _select_streamed(
+            self.train, candidates, self.n_rows, self.n_pos, self.cfg,
+            max_output, stats=self.stats,
+        )
+
+    def checkpointed(self) -> None:
+        # The iteration's survivors are durable; its mid-iteration
+        # statistics can never be needed again and must not leak into the
+        # next iteration's stage keys.
+        self.store.clear()
+
+    def finish(self) -> None:
+        if self.store is not None:
+            self.report.stats_checkpoints_written = self.store.written
+            self.report.stats_stages_resumed = list(self.store.resumed)
+            self.report.stats_checkpoints_skipped = list(self.store.skipped)

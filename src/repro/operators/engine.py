@@ -5,7 +5,7 @@ leaves for each evaluation — each :class:`Var` re-casts the whole input
 matrix and each shared subtree is recomputed once per parent. That is fine
 as an audited reference but quadratic-ish in practice: the pipeline
 evaluates the same trees while fitting operators (``fit_applied``), again
-to build the candidate pool, and again on the validation set.
+to build the candidate pool, and again to rebuild each iteration's matrix.
 
 :class:`EvalCache` memoizes subtree *columns* for **one** input matrix:
 

@@ -630,33 +630,3 @@ def parallel_stream_iv_counts(
     if counts is None:
         raise ConfigurationError("parallel_stream_iv_counts needs a non-empty dataset")
     return counts
-
-
-def _ig_chunk(payload: "tuple[np.ndarray, np.ndarray, int]") -> list[float]:
-    """Worker: binned information gains for a block of columns."""
-    block, y, n_bins = payload
-    from .baselines.tfc import _binned_information_gain
-
-    return [
-        _binned_information_gain(block[:, k], y, n_bins)
-        for k in range(block.shape[1])
-    ]
-
-
-def parallel_information_gains(
-    X: np.ndarray,
-    y: np.ndarray,
-    n_bins: int,
-    n_jobs: "int | None" = None,
-) -> np.ndarray:
-    """Per-column discretized information gain, optionally parallel."""
-    jobs = resolve_n_jobs(n_jobs)
-    if jobs == 1 or X.shape[1] <= 1:
-        return np.asarray(_ig_chunk((X, y, n_bins)))
-    chunks = chunk_indices(X.shape[1], jobs)
-    payloads = [(np.ascontiguousarray(X[:, idx]), y, n_bins) for idx in chunks]
-    results = _run_pool(_ig_chunk, payloads, jobs, "information-gain")
-    out = np.empty(X.shape[1])
-    for idx, values in zip(chunks, results):
-        out[idx] = values
-    return out

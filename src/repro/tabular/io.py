@@ -627,12 +627,6 @@ class ChunkedDataset:
                    y=None if y is None else np.asarray(y))
 
     @classmethod
-    def from_dataset(
-        cls, data: Dataset, chunk_rows: int = DEFAULT_CHUNK_ROWS
-    ) -> "ChunkedDataset":
-        return cls(data.names, chunk_rows, X=data.X, y=data.y)
-
-    @classmethod
     def from_npy(
         cls,
         x_path: "str | Path",

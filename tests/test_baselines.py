@@ -70,7 +70,7 @@ class TestImportantGenerator:
         y = ((X[:, 0] + X[:, 1]) > 0).astype(float)
         data = Dataset.from_arrays(X, y)
         gen = ImportantGenerator(SAFEConfig(gamma=50, random_state=0))
-        pool = gen._feature_pool(data, None)
+        pool = gen._feature_pool(data)
         assert 0 in pool and 1 in pool
 
     def test_fit_produces_transformer(self, interaction_data):

@@ -172,7 +172,7 @@ class TestSearchSpaceFormulas:
         # T* << T when M is large relative to tree usage (Eq. 13's point).
         X = rng.normal(size=(1500, 60))
         y = ((X[:, 0] * X[:, 1]) > 0).astype(float)
-        model = fit_mining_model(X, y, None, n_estimators=5, max_depth=3,
+        model = fit_mining_model(X, y, n_estimators=5, max_depth=3,
                                  learning_rate=0.3, random_state=0)
         t = search_space_size(60, {2: 4})
         combos = combinations_from_paths(model.paths(), 2)
@@ -184,7 +184,7 @@ class TestMiningModel:
     def test_mines_interacting_features_on_same_path(self, rng):
         X = rng.normal(size=(3000, 6))
         y = ((X[:, 2] * X[:, 4]) > 0).astype(float)
-        model = fit_mining_model(X, y, None, n_estimators=10, max_depth=3,
+        model = fit_mining_model(X, y, n_estimators=10, max_depth=3,
                                  learning_rate=0.3, random_state=0)
         combos = combinations_from_paths(model.paths(), 2)
         assert any(c.features == (2, 4) for c in combos)

@@ -52,11 +52,22 @@ class TestFit:
         b = SAFE(SAFEConfig(gamma=20, random_state=5)).fit(interaction_data)
         assert a.feature_keys == b.feature_keys
 
-    def test_validation_set_used(self, interaction_data):
+    def test_validation_set_is_schema_checked_only(self, interaction_data):
+        # No internal GBM early-stops, so validation rows cannot change Ψ;
+        # only a column count that differs from train is an error.
         train = interaction_data.take_rows(np.arange(800))
         valid = interaction_data.take_rows(np.arange(800, 1000))
-        psi = SAFE(SAFEConfig(gamma=20)).fit(train, valid)
-        assert psi.n_output_features >= 1
+        cfg = SAFEConfig(gamma=20, n_iterations=2)
+        with_valid, without = SAFE(cfg), SAFE(cfg)
+        psi_valid = with_valid.fit(train, valid)
+        psi = without.fit(train)
+        assert psi_valid.to_dict() == psi.to_dict()
+        assert [t.selection for t in with_valid.traces_] == [
+            t.selection for t in without.traces_
+        ]
+        narrow = Dataset(X=valid.X[:, 1:], y=valid.y, names=valid.names[1:])
+        with pytest.raises(DataError):
+            SAFE(cfg).fit(train, narrow)
 
 
 class TestTraces:

@@ -46,6 +46,21 @@ def _keys(transformer):
     return tuple(e.key for e in transformer.expressions)
 
 
+def _fit(cfg, data):
+    safe = SAFE(cfg)
+    return safe, safe.fit(data)
+
+
+def _assert_same_fit(a, b):
+    """Equal plans, per-iteration selection reports and runtime reports."""
+    (safe_a, psi_a), (safe_b, psi_b) = a, b
+    assert psi_a.to_dict() == psi_b.to_dict()
+    assert [t.selection for t in safe_a.traces_] == [
+        t.selection for t in safe_b.traces_
+    ]
+    assert safe_a.runtime_report_.summary() == safe_b.runtime_report_.summary()
+
+
 class TestPsiParity:
     """Streaming fit == in-memory fit, bit-identical Ψ (sketch="exact")."""
 
@@ -60,19 +75,19 @@ class TestPsiParity:
     def test_arrays_backed(self, seed, n, k, iters, chunk):
         X, y, names = _workload(seed, n, k)
         cfg = SAFEConfig(n_iterations=iters, sketch="exact", random_state=0)
-        t_mem = SAFE(cfg).fit(Dataset(X=X.copy(), y=y.copy(), names=names))
-        t_stream = SAFE(cfg).fit(ChunkedDataset(names, chunk, X=X, y=y))
-        assert _keys(t_stream) == _keys(t_mem)
+        mem = _fit(cfg, Dataset(X=X.copy(), y=y.copy(), names=names))
+        stream = _fit(cfg, ChunkedDataset(names, chunk, X=X, y=y))
+        _assert_same_fit(stream, mem)
 
     def test_file_backed(self, tmp_path):
         X, y, names = _workload(11, 4000, 5)
         cfg = SAFEConfig(n_iterations=2, sketch="exact", random_state=0)
-        t_mem = SAFE(cfg).fit(Dataset(X=X.copy(), y=y.copy(), names=names))
+        mem = _fit(cfg, Dataset(X=X.copy(), y=y.copy(), names=names))
         xp, yp = tmp_path / "X.npy", tmp_path / "y.npy"
         np.save(xp, X)
         np.save(yp, y)
-        t_stream = SAFE(cfg).fit(ChunkedDataset(names, 512, x_path=xp, y_path=yp))
-        assert _keys(t_stream) == _keys(t_mem)
+        stream = _fit(cfg, ChunkedDataset(names, 512, x_path=xp, y_path=yp))
+        _assert_same_fit(stream, mem)
 
     def test_row_sharded_workers_match_serial(self):
         X, y, names = _workload(31, 3000, 5)

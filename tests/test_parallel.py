@@ -11,7 +11,6 @@ from repro.core.selection import information_values_safe
 from repro.exceptions import ConfigurationError
 from repro.parallel import (
     chunk_indices,
-    parallel_information_gains,
     parallel_information_values,
     parallel_map,
     resolve_n_jobs,
@@ -120,16 +119,6 @@ class TestParallelRedundancy:
             Z, panel, cand_constant=z_const, kept_constant=p_const, n_jobs=3
         )
         assert np.allclose(serial, parallel)
-
-
-class TestParallelIG:
-    def test_matches_serial(self, rng):
-        X = rng.normal(size=(800, 8))
-        y = (X[:, 1] > 0).astype(float)
-        serial = parallel_information_gains(X, y, 10, n_jobs=1)
-        parallel = parallel_information_gains(X, y, 10, n_jobs=2)
-        assert np.allclose(serial, parallel)
-        assert np.argmax(serial) == 1
 
 
 def raise_value_error(x: float) -> float:  # module-level: picklable

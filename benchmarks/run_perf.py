@@ -46,10 +46,20 @@ values per feature). Measures
   constant/near-constant/duplicate/NaN pathologies. Kept indices must be
   **identical**.
 
+* the streamed quantile sketch (``sketch="merge"`` equal-frequency
+  edges, the selection-stage IV-edge pass of a streamed fit) — seed
+  reference: faithful copy of the seed's ``QuantileSketch`` fold, which
+  re-sorted ``summary ∥ fresh rows`` with a stable argsort (timsort);
+  fast path: ``tabular.binning.streamed_quantile_edges`` (``np.sort`` of
+  the fresh rows merged into the sorted summary) on 262 candidate
+  columns x 40k rows in 8192-row chunks. Edges, ``n_finite``, min and
+  max must be **bit-identical** (compared as ``uint64`` bit patterns).
+
 Verifies the batched results match the scalar ones (scoring to 1e-9,
 generation bit-identical: same expression keys/states and byte-equal
 candidate matrices; boosting parity margins byte-equal; selection kept
-indices identical) and writes ``BENCH_perf.json`` at the repo root.
+indices identical; sketch edges bit-identical) and writes
+``BENCH_perf.json`` at the repo root.
 
 Run: ``PYTHONPATH=src python benchmarks/run_perf.py``
 
@@ -57,7 +67,7 @@ A single workload can be re-timed and merged into the existing
 ``BENCH_perf.json`` without re-running the others:
 ``PYTHONPATH=src python benchmarks/run_perf.py --stage selection``
 (repeatable; stages: scoring, generation, boosting, end_to_end,
-selection, fit_stream, fit_recovery).
+selection, fit_stream, fit_recovery, sketch).
 
 The ``fit_stream`` stage is the out-of-core acceptance run: a SAFE.fit
 over a 5M-row ``.npy``-memmapped ``ChunkedDataset`` recording rows/sec
@@ -107,6 +117,11 @@ from repro.operators import (
     fit_applied,
     resolve_operators,
 )
+from repro.tabular.binning import (
+    DEFAULT_SKETCH_CAPACITY,
+    QuantileSketch,
+    streamed_quantile_edges,
+)
 
 N_ROWS = 20_000
 N_COLS = 60
@@ -146,6 +161,9 @@ FS_CHUNK_ROWS = 8_192
 #: Fixed out-of-core ceiling: one eighth of the materialized matrix.
 FS_PEAK_CEILING_BYTES = FS_N_ROWS * FS_N_COLS * 8 // 8
 FS_PARITY_ROWS = 200_000
+SK_N_ROWS = 40_000
+SK_N_COLS = 262
+SK_CHUNK_ROWS = 8_192
 FR_N_ROWS = 100_000
 FR_ITERATIONS = 4
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
@@ -769,6 +787,121 @@ def run_fit_stream_benchmark() -> dict:
     }
 
 
+class SeedQuantileSketch(QuantileSketch):
+    """Faithful copy of the seed's ``QuantileSketch`` fold.
+
+    ``update`` copied every finite chunk column a second time, and
+    ``_summary`` re-sorted ``summary ∥ fresh rows`` with
+    ``np.argsort(kind="stable")`` (timsort) — the path the sort-and-merge
+    fold replaces. ``_compact`` and ``edges`` are unchanged and shared.
+    """
+
+    def update(self, chunk: np.ndarray) -> "SeedQuantileSketch":
+        arr = np.asarray(chunk, dtype=np.float64).ravel()
+        finite = arr[np.isfinite(arr)]
+        if finite.size == 0:
+            return self
+        self.n_finite += int(finite.size)
+        self.min = min(self.min, float(finite.min()))
+        self.max = max(self.max, float(finite.max()))
+        self._buffer.append(finite.copy())
+        self._buffer_rows += int(finite.size)
+        if (
+            self.capacity is not None
+            and self._weights.size + self._buffer_rows > 2 * self.capacity
+        ):
+            self._compact()
+        return self
+
+    def _summary(self) -> "tuple[np.ndarray, np.ndarray]":
+        if self._buffer:
+            fresh = np.concatenate(self._buffer)
+            values = np.concatenate([self._values, fresh])
+            weights = np.concatenate(
+                [self._weights, np.ones(fresh.size, dtype=np.int64)]
+            )
+            order = np.argsort(values, kind="stable")
+            self._values = values[order]
+            self._weights = weights[order]
+            self._buffer = []
+            self._buffer_rows = 0
+        return self._values, self._weights
+
+
+def seed_streamed_quantile_edges(chunk_iter, n_cols: int, n_bins: int) -> tuple:
+    """The seed's ``sketch="merge"`` pass of ``streamed_quantile_edges``."""
+    sketches = [SeedQuantileSketch(DEFAULT_SKETCH_CAPACITY) for _ in range(n_cols)]
+    for _rows, X_chunk, _y in chunk_iter():
+        for j in range(n_cols):
+            sketches[j].update(X_chunk[:, j])
+    return (
+        [sk.edges(n_bins) for sk in sketches],
+        np.array([sk.n_finite for sk in sketches], dtype=np.int64),
+        np.array([sk.min for sk in sketches]),
+        np.array([sk.max for sk in sketches]),
+    )
+
+
+def build_sketch_workload() -> np.ndarray:
+    """262 candidate-shaped columns x 40k rows (a streamed fit's IV pass).
+
+    Mostly continuous columns, plus the shapes generated features take:
+    few-valued (heavy ties), rectified (runs of +0.0 and -0.0), and
+    columns with NaN/inf cells from guarded operators.
+    """
+    rng = np.random.default_rng(SEED + 7)
+    X = rng.normal(size=(SK_N_ROWS, SK_N_COLS))
+    X[:, 0::7] = np.round(X[:, 0::7] * 2.0)
+    signs = rng.choice([1.0, -1.0], size=(SK_N_ROWS, 1))
+    X[:, 1::7] = np.maximum(X[:, 1::7], 0.0) * signs  # half the rows +-0.0
+    X[:, 2::7] = np.exp(X[:, 2::7])
+    X[rng.random(size=(SK_N_ROWS, SK_N_COLS)) < 0.01] = np.nan
+    X[rng.random(size=(SK_N_ROWS, SK_N_COLS)) < 0.002] = np.inf
+    return X
+
+
+def run_sketch_benchmark(repeats: int = 3) -> dict:
+    """Seed argsort fold vs sort-and-merge fold over one streamed pass."""
+    X = build_sketch_workload()
+
+    def chunk_iter():
+        for lo in range(0, SK_N_ROWS, SK_CHUNK_ROWS):
+            yield None, X[lo : lo + SK_CHUNK_ROWS], None
+
+    seed_s, seed_out = best_of(
+        lambda: seed_streamed_quantile_edges(chunk_iter, SK_N_COLS, IV_BINS), repeats
+    )
+    fast_s, fast_out = best_of(
+        lambda: streamed_quantile_edges(
+            chunk_iter, SK_N_COLS, IV_BINS, sketch="merge",
+            capacity=DEFAULT_SKETCH_CAPACITY,
+        ),
+        repeats,
+    )
+
+    def bits(a):
+        return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+    identical = (
+        all(np.array_equal(bits(a), bits(b)) for a, b in zip(seed_out[0], fast_out[0]))
+        and np.array_equal(seed_out[1], fast_out[1])
+        and np.array_equal(bits(seed_out[2]), bits(fast_out[2]))
+        and np.array_equal(bits(seed_out[3]), bits(fast_out[3]))
+    )
+    return {
+        "n_rows": SK_N_ROWS,
+        "n_cols": SK_N_COLS,
+        "chunk_rows": SK_CHUNK_ROWS,
+        "sketch": "merge",
+        "capacity": DEFAULT_SKETCH_CAPACITY,
+        "n_bins": IV_BINS,
+        "seed_seconds": seed_s,
+        "fast_seconds": fast_s,
+        "speedup": seed_s / fast_s,
+        "edges_bit_identical": bool(identical),
+    }
+
+
 def run_fit_recovery_benchmark() -> dict:
     """Crash-safe fit: resume-vs-refit wall time and manifest overhead.
 
@@ -944,6 +1077,7 @@ STAGE_RUNNERS = {
     "selection": lambda: {"selection": run_selection_benchmark()},
     "fit_stream": lambda: {"fit_stream": run_fit_stream_benchmark()},
     "fit_recovery": lambda: {"fit_recovery": run_fit_recovery_benchmark()},
+    "sketch": lambda: {"sketch": run_sketch_benchmark()},
 }
 ALL_STAGES = tuple(STAGE_RUNNERS)
 
@@ -999,6 +1133,12 @@ def _print_stage_summaries(report: dict) -> None:
             f"{r['resume_seconds']:.1f}s ({r['resume_speedup']:.1f}x)  "
             f"manifest overhead {r['manifest_overhead'] * 100:+.1f}%  "
             f"psi identical: {r['psi_identical']}"
+        )
+    if "sketch" in report:
+        r = report["sketch"]
+        print(
+            f"sketch: {r['seed_seconds']:.3f}s -> {r['fast_seconds']:.3f}s "
+            f"({r['speedup']:.1f}x)  edges bit-identical: {r['edges_bit_identical']}"
         )
     if "combined_speedup" in report:
         print(
@@ -1067,6 +1207,9 @@ STAGE_GATES = {
         r["fit_recovery"]["resume_speedup"] >= 3.0
         and r["fit_recovery"]["manifest_overhead"] <= 0.10
         and r["fit_recovery"]["psi_identical"]
+    ),
+    "sketch": lambda r: (
+        r["sketch"]["speedup"] >= 2.0 and r["sketch"]["edges_bit_identical"]
     ),
 }
 

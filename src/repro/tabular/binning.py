@@ -88,8 +88,19 @@ class QuantileSketch:
     grows past ``2 * capacity``, bounding memory at O(capacity) with an
     empirically-tested quantile rank error of O(n / capacity).
 
-    ``update`` mutates the receiver; ``merge`` is pure and associative
-    (see :func:`merge_quantile_sketches`), so per-chunk partials can be
+    Rows are buffered as they arrive and folded in one batch when the
+    summary is read or compacted. A fold sorts the fresh rows with
+    ``np.sort`` and merges that run into the already-sorted summary
+    without re-sorting it (:func:`_merge_sorted_runs`); :meth:`merge`
+    combines two summaries the same way. Both keep the **stable-order contract**: the
+    summary is exactly what a stable sort of ``(old summary, fresh rows
+    in arrival order)`` would give, so entries that compare equal keep
+    their arrival order. The only equal-comparing finite values with
+    different bits are ``-0.0`` and ``+0.0``, and they too stay in
+    arrival order, so every summary state is bit-reproducible.
+
+    ``update`` mutates the receiver; ``merge`` is pure (see
+    :func:`merge_quantile_sketches`), so per-chunk partials can be
     combined across any row sharding.
     """
 
@@ -114,13 +125,13 @@ class QuantileSketch:
     def update(self, chunk: np.ndarray) -> "QuantileSketch":
         """Fold one row chunk of the column into the summary (in place)."""
         arr = np.asarray(chunk, dtype=np.float64).ravel()
-        finite = arr[np.isfinite(arr)]
+        finite = arr[np.isfinite(arr)]  # a copy: the buffer never aliases chunk
         if finite.size == 0:
             return self
         self.n_finite += int(finite.size)
         self.min = min(self.min, float(finite.min()))
         self.max = max(self.max, float(finite.max()))
-        self._buffer.append(finite.copy())
+        self._buffer.append(finite)
         self._buffer_rows += int(finite.size)
         if (
             self.capacity is not None
@@ -130,21 +141,24 @@ class QuantileSketch:
         return self
 
     def merge(self, other: "QuantileSketch") -> "QuantileSketch":
-        """Pure associative combine: the summary of both sketches' rows."""
-        cap = self.capacity
-        if cap is None or (other.capacity is not None and other.capacity < cap):
-            cap = other.capacity if self.capacity is None else cap
-        out = QuantileSketch(capacity=cap)
+        """Pure combine: the summary of both sketches' rows.
+
+        The result keeps the smaller finite capacity (``None`` only when
+        both sides are unbounded), so the capacity does not depend on the
+        operand order. Entries of ``self`` precede equal entries of
+        ``other``; operands with no value in common therefore merge to
+        the same summary in either order. Unbounded merges are exactly
+        associative: any merge tree over chunks in order equals one
+        sketch fed every chunk.
+        """
+        caps = [c for c in (self.capacity, other.capacity) if c is not None]
+        out = QuantileSketch(capacity=min(caps) if caps else None)
         out.n_finite = self.n_finite + other.n_finite
         out.min = min(self.min, other.min)
         out.max = max(self.max, other.max)
         sv, sw = self._summary()
         ov, ow = other._summary()
-        values = np.concatenate([sv, ov])
-        weights = np.concatenate([sw, ow])
-        order = np.argsort(values, kind="stable")
-        out._values = values[order]
-        out._weights = weights[order]
+        out._values, out._weights = _merge_sorted_runs(sv, sw, ov, ow)
         out._parity = (self._parity + other._parity) & 1
         if out.capacity is not None and out._values.size > 2 * out.capacity:
             out._compact()
@@ -175,14 +189,10 @@ class QuantileSketch:
     def _summary(self) -> "tuple[np.ndarray, np.ndarray]":
         """Sorted (values, weights) including any unfolded buffer rows."""
         if self._buffer:
-            fresh = np.concatenate(self._buffer)
-            values = np.concatenate([self._values, fresh])
-            weights = np.concatenate(
-                [self._weights, np.ones(fresh.size, dtype=np.int64)]
+            fresh = _stable_sorted(np.concatenate(self._buffer))
+            self._values, self._weights = _merge_sorted_runs(
+                self._values, self._weights, fresh, 1
             )
-            order = np.argsort(values, kind="stable")
-            self._values = values[order]
-            self._weights = weights[order]
             self._buffer = []
             self._buffer_rows = 0
         return self._values, self._weights
@@ -214,6 +224,50 @@ class QuantileSketch:
         self._weights = weights
 
 
+def _stable_sorted(values: np.ndarray) -> np.ndarray:
+    """``values`` (finite) in the order a stable sort would give.
+
+    ``np.sort`` is not stable, but among finite floats only ``-0.0`` and
+    ``+0.0`` compare equal with different bits, so putting that one run
+    back in input order makes the result bit-identical to a stable sort.
+    """
+    out = np.sort(values)
+    lo = int(np.searchsorted(out, 0.0, side="left"))
+    hi = int(np.searchsorted(out, 0.0, side="right"))
+    if hi - lo > 1:
+        # Shifting out the sign bit leaves 0 exactly for the two zeros.
+        out[lo:hi] = values[(values.view(np.uint64) << np.uint64(1)) == 0]
+    return out
+
+
+def _merge_sorted_runs(
+    a_values: np.ndarray,
+    a_weights: np.ndarray,
+    b_values: np.ndarray,
+    b_weights: "np.ndarray | int",
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Merge two sorted ``(values, weights)`` runs, ``a`` first on ties.
+
+    Bit-identical to a stable sort of the concatenation ``a ∥ b``: entry
+    ``i`` of ``a`` lands after its ``i`` predecessors in ``a`` and after
+    every entry of ``b`` strictly below it (one binary search each);
+    ``b`` fills the remaining slots in its own order. ``b_weights`` may be a scalar (fresh rows
+    carry unit weight).
+    """
+    size = a_values.size + b_values.size
+    at = np.arange(a_values.size) + np.searchsorted(b_values, a_values, side="left")
+    free = np.ones(size, dtype=bool)
+    free[at] = False
+    bt = np.flatnonzero(free)
+    values = np.empty(size, dtype=np.float64)
+    weights = np.empty(size, dtype=np.int64)
+    values[at] = a_values
+    values[bt] = b_values
+    weights[at] = a_weights
+    weights[bt] = b_weights
+    return values, weights
+
+
 def merge_quantile_sketches(a: QuantileSketch, b: QuantileSketch) -> QuantileSketch:
     """Associative merge of two :class:`QuantileSketch` partials."""
     return a.merge(b)
@@ -238,7 +292,11 @@ def streamed_quantile_edges(
     uses unbounded sketches — bit-identical to
     :func:`equal_frequency_edges` on the materialized column — processed
     ``exact_batch_cols`` columns per pass so resident memory stays
-    O(exact_batch_cols * n_rows), never O(n_cols * n_rows).
+    O(exact_batch_cols * n_rows), never O(n_cols * n_rows). The price is
+    time: exact mode calls ``chunk_iter`` and reads the whole stream once
+    per batch, ``ceil(n_cols / exact_batch_cols)`` passes in all, so a
+    stream that computes its chunks (the candidate forest of a streamed
+    selection) recomputes every column of every chunk on each pass.
 
     Returns ``(edges_per_col, n_finite, col_min, col_max)``; the side
     statistics are exact in both modes (they never pass through
